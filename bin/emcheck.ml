@@ -540,6 +540,34 @@ let exit_code_of_diags ~strict diags =
   else if strict && Dg.count_warnings diags > 0 then 1
   else 0
 
+let write_json_report out doc =
+  let oc = open_out out in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> Emflow.Json_out.to_channel oc doc);
+  Printf.printf "JSON report written to %s\n" out
+
+let print_diags diags =
+  if diags <> [] then begin
+    Format.printf "Diagnostics (%a):@." Dg.pp_summary diags;
+    List.iter (fun d -> Format.printf "  %a@." Dg.pp d) diags
+  end
+
+(* Voltages from a DC solve that did not converge are not a solution,
+   so no verdict derived from them can be signed off: one global error,
+   which fails the whole run (exit 1). *)
+let dc_diags (sol : Spice.Mna.solution) =
+  if sol.Spice.Mna.converged then []
+  else
+    [
+      Dg.error ~code:"dc-not-converged"
+        (Printf.sprintf
+           "DC solve did not converge (residual %.3g after %d CG \
+            iterations); voltages, stresses and verdicts are untrustworthy; \
+            look for a loaded island with no path to a pinned node"
+           sol.Spice.Mna.residual sol.Spice.Mna.cg_iterations);
+    ]
+
 let analyze_netlist path tech sigma_t temperature with_maxpath top fix
     json_path html_path keep_going strict max_errors trace_path metrics_path
     profile_path profile_rate profile_format engine jobs variation mc_samples
@@ -593,8 +621,29 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
   if (not keep_going) && Spice.Checker.errors findings <> [] then
     failwith "netlist fails lint; aborting (use --keep-going to continue)";
   let sol = Spice.Mna.solve netlist in
-  Format.printf "DC solve: %d CG iterations, residual %.2e@."
-    sol.Spice.Mna.cg_iterations sol.Spice.Mna.residual;
+  Format.printf "DC solve: %d CG iterations, residual %.2e%s@."
+    sol.Spice.Mna.cg_iterations sol.Spice.Mna.residual
+    (if sol.Spice.Mna.converged then "" else " (NOT CONVERGED)");
+  if not sol.Spice.Mna.converged then begin
+    (* Nothing downstream of these voltages can be trusted (non-finite
+       ones would only fail later, in extraction): report and stop. *)
+    let diags = parse_diags @ lint_diags @ dc_diags sol in
+    let profile = Option.map Obs.Profile.stop sampler in
+    Option.iter
+      (fun out ->
+        write_json_report out
+          (Emflow.Json_out.Obj
+             [
+               ("netlist", Emflow.Json_out.String path);
+               ("diagnostics", Emflow.Json_out.of_diags diags);
+             ]))
+      json_path;
+    export_telemetry ~trace_path ~metrics_path trace;
+    export_profile ~profile_path ~profile_format trace profile;
+    print_diags diags;
+    `Ok 1
+  end
+  else
   (* The fused engine streams resistors straight into columnar
      structures and analyzes those; the boxed path materializes
      [Structure.t] intermediates first and is kept as the reference.
@@ -853,17 +902,10 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
           [ ("telemetry", Emflow.Json_out.of_telemetry ?profile ()) ]
         else [])
     in
-    let oc = open_out out in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> Emflow.Json_out.to_channel oc doc);
-    Printf.printf "JSON report written to %s\n" out);
+    write_json_report out doc);
   export_telemetry ~trace_path ~metrics_path trace;
   export_profile ~profile_path ~profile_format trace profile;
-  if diags <> [] then begin
-    Format.printf "Diagnostics (%a):@." Dg.pp_summary diags;
-    List.iter (fun d -> Format.printf "  %a@." Dg.pp d) diags
-  end;
+  print_diags diags;
   `Ok (exit_code_of_diags ~strict diags)
 
 let analyze_cmd =

@@ -25,7 +25,10 @@ val of_stage : Pipeline.stage -> t
 
 val of_stages : Pipeline.stage list -> t
 (** Per-stage wall/CPU/allocation stats, execution order; each stage
-    carries an [error] flag (true when the stage body raised). *)
+    carries an [error] flag (true when the stage body raised). The word
+    counts ([minor_words], [major_words], [promoted_words],
+    [allocated_words]) are the calling domain's only: allocation by
+    worker domains a stage spawns is not included. *)
 
 val of_metric : Obs.Metrics.sample -> t
 

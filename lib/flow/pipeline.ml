@@ -18,26 +18,21 @@ type t = { mutable rev_stages : stage list }
 let create () = { rev_stages = [] }
 
 let run p name f =
-  (* Gc.quick_stat's words counters only refresh at GC points, so a
-     short stage would read as zero allocation; Gc.minor_words reads
-     the allocation pointer and is exact. *)
-  let minor0 = Gc.minor_words () in
-  let gc0 = Gc.quick_stat () in
+  let alloc0 = Obs.Trace.domain_alloc () in
   let wall0 = Unix.gettimeofday () in
   let cpu0 = Sys.time () in
   let finish error =
     let cpu1 = Sys.time () in
     let wall1 = Unix.gettimeofday () in
-    let gc1 = Gc.quick_stat () in
-    let minor1 = Gc.minor_words () in
+    let alloc = Obs.Trace.alloc_since alloc0 in
     let stage =
       {
         name;
         wall_s = wall1 -. wall0;
         cpu_s = cpu1 -. cpu0;
-        minor_words = minor1 -. minor0;
-        major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
-        promoted_words = gc1.Gc.promoted_words -. gc0.Gc.promoted_words;
+        minor_words = alloc.Obs.Trace.minor;
+        major_words = alloc.Obs.Trace.major;
+        promoted_words = alloc.Obs.Trace.promoted;
         error;
       }
     in

@@ -1,17 +1,18 @@
 (** Instrumented pass manager for the EM flow.
 
     A pipeline threads a computation through named stages and records,
-    per stage, wall-clock time, CPU time, and GC word counters
-    ([Gc.quick_stat] deltas). The flow driver uses it to report where a
-    run spends its time and memory (solve / extract / analyze /
-    classify) without hand-rolled timer plumbing at every call site.
+    per stage, wall-clock time, CPU time, and the calling domain's
+    allocation ({!Obs.Trace.alloc_since}, the routine spans use too).
+    {!Em_flow} uses it to report where a run spends its time and memory
+    (solve / extract / analyze / classify) without hand-rolled timer
+    plumbing at every call site.
 
     When tracing is enabled ({!Obs.Trace.enable}), every stage is also
     emitted as a span on the calling domain's track — the root lane of
     the exported Chrome trace — so the stage report and the trace are
     views of the same measurement.
 
-    Timings are observational: [run] adds two [Gc.quick_stat] calls and
+    Timings are observational: [run] adds two [Gc.counters] calls and
     two clock reads per stage, which is noise next to any stage worth
     measuring. *)
 
@@ -19,20 +20,26 @@ type stage = {
   name : string;
   wall_s : float;          (** elapsed wall-clock seconds *)
   cpu_s : float;           (** processor seconds ([Sys.time]), this domain *)
-  minor_words : float;     (** words allocated in the minor heap *)
-  major_words : float;     (** words allocated in the major heap *)
-  promoted_words : float;  (** minor words that survived into the major heap *)
+  minor_words : float;
+      (** words the calling domain allocated in the minor heap; domains
+          the stage spawns are not counted *)
+  major_words : float;
+      (** words the calling domain allocated in the major heap,
+          promotions included *)
+  promoted_words : float;
+      (** words the calling domain promoted into the major heap *)
   error : bool;            (** the stage body raised *)
 }
 
 val allocated_words : stage -> float
-(** Total words freshly allocated during the stage
-    ([minor + major - promoted], the standard double-count correction). *)
+(** Words freshly allocated by the calling domain during the stage
+    ([minor + major - promoted], the standard double-count correction);
+    never negative. *)
 
 type t
 (** Mutable stage recorder. Not thread-safe: call {!run} from one domain
-    (stages may spawn domains internally; their allocation shows up only
-    in the spawning domain's counters). *)
+    (stages may spawn domains internally; their allocation is not part
+    of the stage's figures, which are the calling domain's). *)
 
 val create : unit -> t
 

@@ -11,20 +11,53 @@ let check_system a b =
   if Array.length b <> nrows then invalid_arg "Cg: rhs dimension mismatch";
   nrows
 
-(* Core preconditioned CG. [apply_m] multiplies by the (inverse)
-   preconditioner; [post] is applied to the iterate after every update and
-   is used by the semidefinite variant to project out the nullspace. *)
-let pcg ~a ~b ~x0 ~max_iter ~tol ~apply_m ~post =
+(* Jacobi scaling: the inverse diagonal, 1 where the diagonal vanishes. *)
+let jacobi_inverse a =
+  Array.map
+    (fun di -> if Float.abs di > 1e-300 then 1. /. di else 1.)
+    (Sparse.diagonal a)
+
+(* [b - a x], written into [r]. *)
+let residual_into a ~b ~x r =
+  Sparse.mul_vec_into a x r;
+  for i = 0 to Array.length r - 1 do
+    r.(i) <- b.(i) -. r.(i)
+  done
+
+(* Fused Jacobi-preconditioned CG: three passes over the vectors per
+   iteration instead of eight.
+
+   1. [ap = a p] and [pap = p . ap];
+   2. [x += alpha p], [r -= alpha ap], [z = inv_d r], [rz = r . z],
+      [rr = r . r];
+   3. [p = z + beta p].
+
+   Every sum runs in index order and every element is the same IEEE
+   expression as in the textbook pass-per-operation loop (axpy, dot,
+   xpay, diagonal scaling), so iterates, iteration counts and residuals
+   are bit-identical to it. [post] is applied to [x] after pass 2 (it
+   reads only [x]); the semidefinite variant uses it to project out the
+   nullspace.
+
+   Unchecked access is safe: the caller has checked that [b], [x0] and
+   [inv_d] have length [n = nrows = ncols], every other vector is
+   allocated here with length [n], and {!Sparse.validate} below proves
+   that every [k] in [row_ptr.(i) .. row_ptr.(i + 1) - 1] indexes
+   [col_idx] and [values] and that every [col_idx.(k)] is below [n]. *)
+let pcg ~a ~b ~x0 ~max_iter ~tol ~inv_d ~post =
+  Sparse.validate a;
   let n = Array.length b in
+  let row_ptr = a.Sparse.row_ptr
+  and col_idx = a.Sparse.col_idx
+  and values = a.Sparse.values in
   let x = Vector.copy x0 in
   post x;
   let r = Vector.create n in
-  Sparse.mul_vec_into a x r;
-  for i = 0 to n - 1 do
-    r.(i) <- b.(i) -. r.(i)
-  done;
+  residual_into a ~b ~x r;
   let z = Vector.create n in
-  apply_m r z;
+  for i = 0 to n - 1 do
+    z.(i) <- inv_d.(i) *. r.(i)
+  done;
   let p = Vector.copy z in
   let ap = Vector.create n in
   let b_norm = Vector.norm2 b in
@@ -33,46 +66,54 @@ let pcg ~a ~b ~x0 ~max_iter ~tol ~apply_m ~post =
   let iters = ref 0 in
   let r_norm = ref (Vector.norm2 r) in
   while !r_norm > stop_norm && !iters < max_iter do
-    Sparse.mul_vec_into a p ap;
-    let pap = Vector.dot p ap in
+    let pap = ref 0. in
+    for i = 0 to n - 1 do
+      let acc = ref 0. in
+      for k = Array.unsafe_get row_ptr i to Array.unsafe_get row_ptr (i + 1) - 1
+      do
+        acc :=
+          !acc
+          +. (Array.unsafe_get values k
+             *. Array.unsafe_get p (Array.unsafe_get col_idx k))
+      done;
+      Array.unsafe_set ap i !acc;
+      pap := !pap +. (Array.unsafe_get p i *. !acc)
+    done;
+    let pap = !pap in
     if pap <= 0. then
       (* Loss of positive definiteness (or exact convergence); stop. *)
       iters := max_iter
     else begin
       let alpha = !rz /. pap in
-      Vector.axpy ~a:alpha ~x:p ~y:x;
+      let neg_alpha = -.alpha in
+      let rz' = ref 0. and rr = ref 0. in
+      for i = 0 to n - 1 do
+        Array.unsafe_set x i
+          ((alpha *. Array.unsafe_get p i) +. Array.unsafe_get x i);
+        let ri = (neg_alpha *. Array.unsafe_get ap i) +. Array.unsafe_get r i in
+        Array.unsafe_set r i ri;
+        let zi = Array.unsafe_get inv_d i *. ri in
+        Array.unsafe_set z i zi;
+        rz' := !rz' +. (ri *. zi);
+        rr := !rr +. (ri *. ri)
+      done;
       post x;
-      Vector.axpy ~a:(-.alpha) ~x:ap ~y:r;
-      apply_m r z;
-      let rz' = Vector.dot r z in
-      let beta = rz' /. !rz in
-      rz := rz';
-      Vector.xpay ~x:z ~a:beta ~y:p;
-      r_norm := Vector.norm2 r;
+      let beta = !rz' /. !rz in
+      rz := !rz';
+      for i = 0 to n - 1 do
+        Array.unsafe_set p i
+          (Array.unsafe_get z i +. (beta *. Array.unsafe_get p i))
+      done;
+      r_norm := sqrt !rr;
       incr iters
     end
   done;
   (* Recompute the true residual: the recurrence drifts on long runs. *)
-  let true_r = Vector.create n in
-  Sparse.mul_vec_into a x true_r;
-  for i = 0 to n - 1 do
-    true_r.(i) <- b.(i) -. true_r.(i)
-  done;
-  let final = Vector.norm2 true_r /. Float.max 1e-300 (Float.max b_norm 1e-30) in
-  let final = if b_norm > 0. then Vector.norm2 true_r /. b_norm else final in
-  { x; iterations = !iters; residual = final; converged = final <= tol *. 10. }
-
-let jacobi_apply a =
-  let d = Sparse.diagonal a in
-  let inv_d =
-    Array.map (fun di -> if Float.abs di > 1e-300 then 1. /. di else 1.) d
+  residual_into a ~b ~x r;
+  let final =
+    Vector.norm2 r /. if b_norm > 0. then b_norm else Float.max b_norm 1e-30
   in
-  fun r z ->
-    for i = 0 to Array.length r - 1 do
-      z.(i) <- inv_d.(i) *. r.(i)
-    done
-
-let identity_apply r z = Vector.blit ~src:r ~dst:z
+  { x; iterations = !iters; residual = final; converged = final <= tol *. 10. }
 
 let solve ?x0 ?max_iter ?tol ?(precondition = true) a b =
   let n = check_system a b in
@@ -80,8 +121,9 @@ let solve ?x0 ?max_iter ?tol ?(precondition = true) a b =
   if Array.length x0 <> n then invalid_arg "Cg.solve: x0 dimension mismatch";
   let max_iter = match max_iter with Some m -> m | None -> (10 * n) + 100 in
   let tol = Option.value tol ~default:1e-10 in
-  let apply_m = if precondition then jacobi_apply a else identity_apply in
-  pcg ~a ~b ~x0 ~max_iter ~tol ~apply_m ~post:ignore
+  (* [1. *. r] is exact, so unit scaling is the unpreconditioned method. *)
+  let inv_d = if precondition then jacobi_inverse a else Array.make n 1. in
+  pcg ~a ~b ~x0 ~max_iter ~tol ~inv_d ~post:ignore
 
 let solve_semidefinite ?weights ?max_iter ?tol a b =
   let n = check_system a b in
@@ -107,5 +149,4 @@ let solve_semidefinite ?weights ?max_iter ?tol a b =
   in
   let max_iter = match max_iter with Some m -> m | None -> (10 * n) + 100 in
   let tol = Option.value tol ~default:1e-10 in
-  let apply_m = jacobi_apply a in
-  pcg ~a ~b ~x0:(Vector.create n) ~max_iter ~tol ~apply_m ~post
+  pcg ~a ~b ~x0:(Vector.create n) ~max_iter ~tol ~inv_d:(jacobi_inverse a) ~post

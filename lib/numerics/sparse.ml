@@ -129,15 +129,40 @@ let get m i j =
   done;
   !result
 
+let validate m =
+  let bad what = invalid_arg ("Sparse.validate: malformed CSR, " ^ what) in
+  let { nrows; ncols; row_ptr; col_idx; values } = m in
+  if Array.length row_ptr <> nrows + 1 then bad "row_ptr length";
+  if row_ptr.(0) <> 0 then bad "row_ptr.(0) <> 0";
+  for i = 0 to nrows - 1 do
+    if row_ptr.(i + 1) < row_ptr.(i) then bad "row_ptr not monotone"
+  done;
+  let nnz = row_ptr.(nrows) in
+  if nnz > Array.length col_idx || nnz > Array.length values then
+    bad "row_ptr past the entry arrays";
+  for k = 0 to nnz - 1 do
+    let c = col_idx.(k) in
+    if c < 0 || c >= ncols then bad "column index out of range"
+  done
+
 let mul_vec_into m x y =
   if Array.length x <> m.ncols || Array.length y <> m.nrows then
     invalid_arg "Sparse.mul_vec_into: dimension mismatch";
+  validate m;
+  (* Unchecked access is safe here: [validate] proved that every [k] in
+     [row_ptr.(i) .. row_ptr.(i + 1) - 1] indexes [col_idx] and [values]
+     and that every column index is below [ncols = length x], and
+     [i < nrows = length y]. *)
+  let row_ptr = m.row_ptr and col_idx = m.col_idx and values = m.values in
   for i = 0 to m.nrows - 1 do
     let acc = ref 0. in
-    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-      acc := !acc +. (m.values.(k) *. x.(m.col_idx.(k)))
+    for k = Array.unsafe_get row_ptr i to Array.unsafe_get row_ptr (i + 1) - 1 do
+      acc :=
+        !acc
+        +. (Array.unsafe_get values k
+           *. Array.unsafe_get x (Array.unsafe_get col_idx k))
     done;
-    y.(i) <- !acc
+    Array.unsafe_set y i !acc
   done
 
 let mul_vec m x =

@@ -38,8 +38,19 @@ val get : t -> int -> int -> float
 
 val mul_vec : t -> Vector.t -> Vector.t
 
+val validate : t -> unit
+(** [validate m] checks in O(nrows + nnz) the invariant every constructor
+    here establishes and unchecked kernels rely on: [row_ptr] has length
+    [nrows + 1], starts at 0 and is monotone, [row_ptr.(nrows)] is within
+    [col_idx] and [values], and every stored column index is in
+    [0 .. ncols - 1]. The record is [private] but its arrays are mutable,
+    so a caller can still break it; raises [Invalid_argument] then. *)
+
 val mul_vec_into : t -> Vector.t -> Vector.t -> unit
-(** [mul_vec_into m x y] writes [m x] into [y] without allocating. *)
+(** [mul_vec_into m x y] writes [m x] into [y] without allocating: one
+    {!validate}, then a bounds-check-free row loop that accumulates each
+    row in stored entry order. Raises [Invalid_argument] on mismatched
+    lengths or a malformed [m]. *)
 
 val diagonal : t -> Vector.t
 (** The main diagonal (zeros where no entry is stored); requires square. *)

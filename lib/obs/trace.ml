@@ -6,6 +6,20 @@ let value_to_string = function
   | Float f -> Printf.sprintf "%g" f
   | String s -> s
 
+type alloc = { minor : float; promoted : float; major : float }
+
+let domain_alloc () =
+  let minor, promoted, major = Gc.counters () in
+  { minor; promoted; major }
+
+let alloc_since a0 =
+  let a = domain_alloc () in
+  {
+    minor = a.minor -. a0.minor;
+    promoted = a.promoted -. a0.promoted;
+    major = a.major -. a0.major;
+  }
+
 type event = {
   id : int;
   parent : int option;
@@ -230,11 +244,9 @@ let with_span ?(attrs = []) name f =
     if depth < max_sample_depth then ds.ds_names.(depth) <- name;
     Atomic.set ds.ds_depth (depth + 1);
     let tr = track () in
-    (* [Gc.quick_stat]'s word counters only refresh at GC points, so
-       [Gc.minor_words] (which reads the allocation pointer) supplies
-       the exact minor delta; major/promoted words and collection
-       counts come from the stat record. *)
-    let minor0 = Gc.minor_words () in
+    (* Words from the calling domain's exact counters; collection
+       counts (process-wide events) from the stat record. *)
+    let alloc0 = domain_alloc () in
     let gc0 = Gc.quick_stat () in
     let start_us = Clock.now_us () in
     let finish error =
@@ -242,7 +254,7 @@ let with_span ?(attrs = []) name f =
       Atomic.set ds.ds_depth (max 0 (Atomic.get ds.ds_depth - 1));
       let dur_us = Clock.now_us () -. start_us in
       let gc1 = Gc.quick_stat () in
-      let minor1 = Gc.minor_words () in
+      let alloc = alloc_since alloc0 in
       record t
         {
           id;
@@ -253,9 +265,9 @@ let with_span ?(attrs = []) name f =
           dur_us;
           error;
           attrs;
-          gc_minor_words = minor1 -. minor0;
-          gc_major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
-          gc_promoted_words = gc1.Gc.promoted_words -. gc0.Gc.promoted_words;
+          gc_minor_words = alloc.minor;
+          gc_major_words = alloc.major;
+          gc_promoted_words = alloc.promoted;
           gc_minor_collections =
             gc1.Gc.minor_collections - gc0.Gc.minor_collections;
           gc_major_collections =

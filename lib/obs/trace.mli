@@ -27,6 +27,25 @@ val value_to_string : value -> string
 (** Plain (unquoted) rendering, used for flight-recorder details and
     log fields. *)
 
+type alloc = {
+  minor : float;     (** words allocated in the minor heap *)
+  promoted : float;  (** words promoted from the minor to the major heap *)
+  major : float;     (** words allocated in the major heap, promotions included *)
+}
+(** Allocation counters of one domain. *)
+
+val domain_alloc : unit -> alloc
+(** The calling domain's counters since it started ([Gc.counters]). They
+    are exact at any instant, not only at GC points, and cover the
+    calling domain only: words allocated by worker domains never appear
+    in their spawner's figures. *)
+
+val alloc_since : alloc -> alloc
+(** [alloc_since a0] is {!domain_alloc} now minus [a0]: the calling
+    domain's allocation over an interval. Spans and [Emflow.Pipeline]
+    stages both measure with it. Since major words include promoted ones,
+    [minor + major - promoted] of a difference is never negative. *)
+
 type event = {
   id : int;            (** unique per trace, allocation order *)
   parent : int option; (** enclosing span on the same domain, if any *)
@@ -36,17 +55,22 @@ type event = {
   dur_us : float;      (** duration, >= 0 *)
   error : bool;        (** the span body raised *)
   attrs : (string * value) list;
-  gc_minor_words : float;  (** words allocated in the minor heap *)
-  gc_major_words : float;  (** words allocated directly in the major heap *)
+  gc_minor_words : float;
+      (** words the span's own domain allocated in the minor heap
+          ({!alloc_since}); workers it spawned are not included *)
+  gc_major_words : float;
+      (** words the span's domain allocated in the major heap, promotions
+          included *)
   gc_promoted_words : float;
-      (** minor words that survived into the major heap *)
+      (** words the span's domain promoted into the major heap *)
   gc_minor_collections : int;  (** minor GCs during the span *)
   gc_major_collections : int;  (** major GC cycles completed *)
 }
 
 val allocated_words : event -> float
-(** Words freshly allocated during the span
-    ([minor + major - promoted], the standard double-count correction). *)
+(** Words freshly allocated by the span's own domain during the span
+    ([minor + major - promoted], the standard double-count correction);
+    never negative. *)
 
 type t
 (** A trace buffer (sink) of completed spans. *)

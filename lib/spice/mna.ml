@@ -6,6 +6,7 @@ type solution = {
   voltages : float array;
   cg_iterations : int;
   residual : float;
+  converged : bool;
 }
 
 exception Unsupported of string
@@ -152,11 +153,13 @@ let solve ?(tol = 1e-10) ?max_iter ?(solver = Cg) net =
             num := !num +. ((rhs.(i) -. ri) ** 2.);
             den := !den +. (rhs.(i) ** 2.))
           r;
+        let residual = sqrt (!num /. !den) in
+        (* The CG criterion on the computed residual; false on NaN. *)
         {
           Numerics.Cg.x;
           iterations = 0;
-          residual = sqrt (!num /. !den);
-          converged = true;
+          residual;
+          converged = residual <= tol *. 10.;
         }
     end
   in
@@ -172,6 +175,7 @@ let solve ?(tol = 1e-10) ?max_iter ?(solver = Cg) net =
     voltages;
     cg_iterations = result.Cg.iterations;
     residual = result.Cg.residual;
+    converged = result.Cg.converged;
   }
 
 let resistor_current sol e =

@@ -11,8 +11,13 @@
       floating between two otherwise-unpinned nodes is rejected as
       unsupported rather than silently mis-solved.
 
-    The reduced free-node system is symmetric positive definite and is
-    solved with Jacobi-preconditioned CG. *)
+    The reduced free-node system is symmetric positive definite when
+    every free node reaches a pinned one, and is solved with
+    Jacobi-preconditioned CG ({!Numerics.Cg}: a fused three-pass kernel
+    whose voltages, iteration count and residual are bit-identical to
+    textbook PCG). A conductive island with no path to a pinned node
+    makes the system singular; if a source loads it, the solve does not
+    converge, which {!solution.converged} reports. *)
 
 type solver = Cg | Cholesky
 (** [Cg]: Jacobi-preconditioned conjugate gradients (default; scales to
@@ -25,6 +30,14 @@ type solution = {
   voltages : float array;      (** per node, V *)
   cg_iterations : int;         (** 0 under the direct solver *)
   residual : float;
+      (** true relative residual [|b - G v|_2 / |b|_2] of the reduced
+          system, recomputed from the returned voltages *)
+  converged : bool;
+      (** [residual <= 10 * tol], the criterion of {!Numerics.Cg}, for
+          both solvers. When false the voltages are not a DC solution
+          and nothing derived from them (currents, stresses, verdicts)
+          can be trusted; [emcheck analyze] then fails the run with a
+          [dc-not-converged] error. *)
 }
 
 exception Unsupported of string

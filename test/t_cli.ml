@@ -92,6 +92,34 @@ let test_explain_malformed_deck () =
       check_one_line_diagnostic ~prefix:"emcheck explain:" r)
 
 (* ---------------------------------------------------------------- *)
+(* analyze on a deck whose DC solve does not converge                 *)
+
+let test_analyze_dc_not_converged () =
+  let island = tmp_name "island" ^ ".sp" and json = tmp_name "island.json" in
+  Out_channel.with_open_text island (fun oc -> output_string oc island_deck);
+  Fun.protect
+    ~finally:(fun () -> rm_f island; rm_f json)
+    (fun () ->
+      let r =
+        run_cmd
+          (Printf.sprintf "%s analyze %s -t ibm --json %s" emcheck island json)
+      in
+      Alcotest.(check int) "exit code 1" 1 r.code;
+      let codes =
+        match Ji.list_value (get "diagnostics" (json_of_file json)) with
+        | Some ds ->
+          List.filter_map
+            (fun d ->
+              match (Ji.string_value (get "severity" d), Ji.string_value (get "code" d)) with
+              | Some "error", Some code -> Some code
+              | _ -> None)
+            ds
+        | None -> Alcotest.fail "diagnostics is not a list"
+      in
+      Alcotest.(check (list string)) "one dc-not-converged error"
+        [ "dc-not-converged" ] codes)
+
+(* ---------------------------------------------------------------- *)
 (* record-run -> diff -> history                                     *)
 
 let test_record_diff_history () =
@@ -195,6 +223,8 @@ let suites =
         case "missing deck: one line, exit 2" test_explain_missing_deck;
         case "malformed deck: one line, exit 2" test_explain_malformed_deck;
       ] );
+    ( "cli.analyze",
+      [ case "non-converged DC solve: error, exit 1" test_analyze_dc_not_converged ] );
     ( "cli.ledger",
       [ slow_case "record-run, diff, history round trip" test_record_diff_history ] );
     ( "cli.bench",

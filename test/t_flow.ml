@@ -163,7 +163,9 @@ let test_extract_compact_mini_grid () =
 
 let test_flow_stages_recorded () =
   let g = small_grid () in
-  let r = Flow.run g in
+  (* Two domains even on a one-core machine: stage allocation is the
+     caller's alone, so worker allocation must not drive it negative. *)
+  let r = Flow.run ~jobs:2 g in
   let names = List.map (fun (s : Emflow.Pipeline.stage) -> s.Emflow.Pipeline.name) r.Flow.stages in
   Alcotest.(check (list string)) "stages in execution order"
     [ "solve"; "extract"; "analyze"; "classify" ] names;

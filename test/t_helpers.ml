@@ -32,3 +32,18 @@ let slow_case name f = Alcotest.test_case name `Slow f
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)
+
+(* A pad-fed chain plus a conductive island with no path to ground or
+   a pad, loaded by a current source: its block of the conductance
+   matrix is singular and the load makes it inconsistent, so the DC
+   solve cannot converge. *)
+let island_deck =
+  "* grid with a floating, loaded island\n\
+   V1 n1_0_0 0 1.0\n\
+   R1 n1_0_0 n1_1000_0 0.5\n\
+   R2 n1_1000_0 n1_2000_0 0.5\n\
+   I1 n1_2000_0 0 0.001\n\
+   R3 n1_5000_0 n1_6000_0 0.5\n\
+   R4 n1_6000_0 n1_7000_0 0.5\n\
+   I2 n1_7000_0 0 0.002\n\
+   .end\n"

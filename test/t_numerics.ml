@@ -268,6 +268,110 @@ let test_cg_semidefinite_weighted_gauge () =
     check_close ~rtol:1e-7 ~atol:1e-8 "gradient" 2. (r.Cg.x.(i) -. r.Cg.x.(i + 1))
   done
 
+(* Bit-identity of the fused kernel against the pass-per-operation
+   oracle ([Cg_oracle]) on random Laplacians: a random spanning tree
+   plus chords, conductances over four decades, and (when [grounded]) a
+   few legs to ground, which makes the system SPD. *)
+
+let random_laplacian rng n ~grounded =
+  let b = Sp.Builder.create n n in
+  let conductance () = 10. ** (Rng.float rng 4. -. 2.) in
+  let stamp i j =
+    let g = conductance () in
+    Sp.Builder.add b i i g;
+    Sp.Builder.add b j j g;
+    Sp.Builder.add b i j (-.g);
+    Sp.Builder.add b j i (-.g)
+  in
+  for j = 1 to n - 1 do
+    stamp (Rng.int rng j) j
+  done;
+  for _ = 1 to n do
+    let i = Rng.int rng n and j = Rng.int rng n in
+    if i <> j then stamp i j
+  done;
+  if grounded then
+    for _ = 0 to Rng.int rng 3 do
+      let i = Rng.int rng n in
+      Sp.Builder.add b i i (conductance ())
+    done;
+  Sp.Builder.to_csr b
+
+let laplacian_gen = QCheck2.Gen.(pair (int_range 2 60) (int_bound 1_000_000))
+
+let random_vector rng n = Array.init n (fun _ -> Rng.float rng 2. -. 1.)
+
+let same_bits (r : Cg.result) (o : Cg.result) =
+  let bits = Array.map Int64.bits_of_float in
+  bits r.Cg.x = bits o.Cg.x
+  && r.Cg.iterations = o.Cg.iterations
+  && Int64.bits_of_float r.Cg.residual = Int64.bits_of_float o.Cg.residual
+  && r.Cg.converged = o.Cg.converged
+
+let prop_cg_bits ~grounded solve oracle (n, seed) =
+  let rng = Rng.create (Int64.of_int (seed + 31)) in
+  let a = random_laplacian rng n ~grounded in
+  let b = random_vector rng n in
+  let x0 = random_vector rng n in
+  same_bits (solve a b x0) (oracle a b x0)
+
+let prop_cg_jacobi =
+  prop_cg_bits ~grounded:true
+    (fun a b _ -> Cg.solve a b)
+    (fun a b _ -> Cg_oracle.solve a b)
+
+let prop_cg_plain =
+  prop_cg_bits ~grounded:true
+    (fun a b _ -> Cg.solve ~precondition:false a b)
+    (fun a b _ -> Cg_oracle.solve ~precondition:false a b)
+
+let prop_cg_x0 =
+  prop_cg_bits ~grounded:true
+    (fun a b x0 -> Cg.solve ~x0 a b)
+    (fun a b x0 -> Cg_oracle.solve ~x0 a b)
+
+let prop_cg_semidefinite =
+  prop_cg_bits ~grounded:false
+    (fun a b _ -> Cg.solve_semidefinite a b)
+    (fun a b _ -> Cg_oracle.solve_semidefinite a b)
+
+let prop_cg_semidefinite_weighted =
+  (* [x0] doubles as the source of positive gauge weights. *)
+  let weights x0 = Array.map (fun v -> 0.1 +. Float.abs v) x0 in
+  prop_cg_bits ~grounded:false
+    (fun a b x0 -> Cg.solve_semidefinite ~weights:(weights x0) a b)
+    (fun a b x0 -> Cg_oracle.solve_semidefinite ~weights:(weights x0) a b)
+
+let test_cg_dimension_checks () =
+  let rng = Rng.create 5L in
+  let a = random_laplacian rng 8 ~grounded:true in
+  check_raises_invalid "rhs length" (fun () -> Cg.solve a (Array.make 7 1.));
+  check_raises_invalid "x0 length" (fun () ->
+      Cg.solve ~x0:(Array.make 9 0.) a (Array.make 8 1.));
+  check_raises_invalid "weights length" (fun () ->
+      Cg.solve_semidefinite ~weights:(Array.make 3 1.) a (Array.make 8 1.));
+  check_raises_invalid "spmv lengths" (fun () ->
+      Sp.mul_vec_into a (Array.make 8 1.) (Array.make 7 0.))
+
+let test_cg_rejects_malformed_csr () =
+  (* The record is private but its arrays are mutable: a column index
+     pushed out of range must be caught before any unchecked access. *)
+  let rng = Rng.create 6L in
+  let a = random_laplacian rng 8 ~grounded:true in
+  let nnz = Sp.nnz a in
+  a.Sp.col_idx.(nnz - 1) <- 8;
+  check_raises_invalid "column out of range" (fun () ->
+      Cg.solve a (Array.make 8 1.));
+  check_raises_invalid "spmv column out of range" (fun () ->
+      Sp.mul_vec a (Array.make 8 1.));
+  a.Sp.col_idx.(nnz - 1) <- 7;
+  a.Sp.row_ptr.(8) <- nnz + 1;
+  check_raises_invalid "row_ptr past the entries" (fun () ->
+      Cg.solve a (Array.make 8 1.));
+  a.Sp.row_ptr.(8) <- nnz;
+  a.Sp.row_ptr.(3) <- a.Sp.row_ptr.(5) + 1;
+  check_raises_invalid "row_ptr not monotone" (fun () -> Sp.validate a)
+
 (* ---------------------------------------------------------------- *)
 (* Tridiag                                                           *)
 
@@ -743,6 +847,15 @@ let suites =
         case "zero rhs" test_cg_zero_rhs;
         case "semidefinite path Laplacian" test_cg_semidefinite_path;
         case "weighted gauge" test_cg_semidefinite_weighted_gauge;
+        case "dimension checks" test_cg_dimension_checks;
+        case "rejects a malformed CSR" test_cg_rejects_malformed_csr;
+        qcheck "oracle bits: Jacobi" laplacian_gen prop_cg_jacobi;
+        qcheck "oracle bits: unpreconditioned" laplacian_gen prop_cg_plain;
+        qcheck "oracle bits: warm start x0" laplacian_gen prop_cg_x0;
+        qcheck "oracle bits: semidefinite, uniform gauge" laplacian_gen
+          prop_cg_semidefinite;
+        qcheck "oracle bits: semidefinite, weighted gauge" laplacian_gen
+          prop_cg_semidefinite_weighted;
       ] );
     ( "numerics.cholesky",
       [

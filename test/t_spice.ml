@@ -292,6 +292,17 @@ let test_mna_wheatstone () =
   check_close ~rtol:1e-7 "left mid" (10. *. 200. /. 300.)
     (Option.get (Mna.node_voltage sol "l"))
 
+let test_mna_converged_flag () =
+  let sol = Mna.solve (divider ()) in
+  Alcotest.(check bool) "healthy deck converges" true sol.Mna.converged;
+  let sol = Mna.solve ~solver:Mna.Cholesky (divider ()) in
+  Alcotest.(check bool) "direct solve converges" true sol.Mna.converged;
+  let sol = Mna.solve (P.parse_string island_deck) in
+  Alcotest.(check bool) "loaded floating island does not converge" false
+    sol.Mna.converged;
+  Alcotest.(check bool) "residual not within 10 * tol" false
+    (sol.Mna.residual <= 1e-9)
+
 let test_mna_floating_vsource_rejected () =
   let b = N.Builder.create () in
   N.Builder.add_voltage_source b "p" "0" 1.;
@@ -569,5 +580,6 @@ let suites =
         case "no reference rejected" test_mna_no_reference;
         case "ladder KCL" test_mna_grid_kcl;
         case "Cholesky solver matches CG" test_mna_cholesky_matches_cg;
+        case "converged flag" test_mna_converged_flag;
       ] );
   ]
