@@ -68,11 +68,10 @@ let run cfg =
     Rp.create
       [
         "edges"; "boxed"; "convert"; "columnar"; "speedup"; "seg/s (col.)";
-        "reordered"; "par"; "naive O(VE)"; "lin. system (CG)";
+        "naive O(VE)"; "lin. system (CG)";
       ]
   in
   let rows = ref [] in
-  let best_throughput = Hashtbl.create 8 in
   List.iter
     (fun n ->
       let s = tree_of_size n 17L in
@@ -84,34 +83,8 @@ let run cfg =
       (* The columnar path must reproduce the boxed stresses bit for
          bit — it is the same algorithm on a different layout. *)
       assert (bits_equal csol.Ss.node_stress sol.Ss.node_stress);
-      (* Cache-aware solve: relabel the nodes by BFS discovery once
-         (amortizable across a scan), then solve the permuted CSR.
-         Gathered back to original ids the stresses must again be
-         bit-identical — the permuted BFS replays the original one. *)
-      let reord, t_reorder = best_of (reps_for n) (fun () -> Cc.reorder c) in
-      let rsol, t_reordered =
-        best_of (reps_for n) (fun () -> Ss.solve_compact ~ws cu reord.Cc.compact)
-      in
-      let gathered = Array.map (fun _ -> 0.) sol.Ss.node_stress in
-      Array.iteri
-        (fun nw old -> gathered.(old) <- rsol.Ss.node_stress.(nw))
-        reord.Cc.old_of_new;
-      assert (bits_equal gathered sol.Ss.node_stress);
-      (* Intra-structure parallel solve (per-subtree Blech expansion,
-         chunked stress fill) — bit-identical on trees by construction. *)
-      let jobs = Numerics.Parallel.recommended_jobs () in
-      let psol, t_par =
-        best_of (reps_for n) (fun () -> Ss.solve_compact_par ~ws ~jobs cu c)
-      in
-      assert (bits_equal psol.Ss.node_stress sol.Ss.node_stress);
       let speedup = t_boxed /. t_compact in
       let segs_per_s = float_of_int n /. t_compact in
-      let reordered_per_s = float_of_int n /. t_reordered in
-      let par_per_s = float_of_int n /. t_par in
-      (* Cliff metric: best sequential columnar throughput (plain or
-         reordered). The parallel path measures wall-clock scaling, not
-         cache behavior, so it stays out of the cliff ratio. *)
-      Hashtbl.replace best_throughput n (Float.max segs_per_s reordered_per_s);
       let naive =
         if n <= naive_cap then begin
           let sol', t = B_util.wall (fun () -> Naive.solve cu s) in
@@ -141,8 +114,6 @@ let run cfg =
           Rp.seconds_cell t_compact;
           Printf.sprintf "%.2fx" speedup;
           Printf.sprintf "%.2e" segs_per_s;
-          Rp.seconds_cell t_reordered;
-          Rp.seconds_cell t_par;
           opt_cell naive;
           opt_cell linsys;
         ];
@@ -165,46 +136,23 @@ let run cfg =
             ("speedup", J.Float speedup);
             ("boxed_segments_per_s", J.Float (float_of_int n /. t_boxed));
             ("columnar_segments_per_s", J.Float segs_per_s);
-            ("reorder_s", J.Float t_reorder);
-            ("reordered_solve_s", J.Float t_reordered);
-            ("reordered_segments_per_s", J.Float reordered_per_s);
-            ("par_solve_s", J.Float t_par);
-            ("par_segments_per_s", J.Float par_per_s);
             ("naive_s", opt_json naive);
             ("linsys_s", opt_json linsys);
           ]
         :: !rows)
     sizes;
   Rp.print table;
-  (* Cache cliff: best columnar throughput at 3k edges over the best at
-     30k (lower is better, 1.0 = no cliff). 30k nodes no longer fit in
-     L2, so this ratio tracks how well the reordered/parallel paths hold
-     throughput once the working set spills. *)
-  let cliff =
-    match
-      ( Hashtbl.find_opt best_throughput 3_000,
-        Hashtbl.find_opt best_throughput 30_000 )
-    with
-    | Some a, Some b when b > 0. -> Some (a /. b)
-    | _ -> None
-  in
-  (match cliff with
-  | Some r -> B_util.note "Columnar throughput cliff (3k/30k, best path): %.2fx." r
-  | None -> ());
   B_util.ensure_out_dir cfg;
   let json_path = B_util.out_path cfg "BENCH_scaling.json" in
   let oc = open_out json_path in
   J.to_channel oc
     (J.Obj
-       ([
-          ("bench", J.String "scaling");
-          ("full", J.Bool cfg.B_util.full);
-          ("reps", J.Int reps);
-        ]
-       @ (match cliff with
-         | Some r -> [ ("columnar_throughput_cliff_ratio", J.Float r) ]
-         | None -> [])
-       @ [ ("rows", J.List (List.rev !rows)) ]));
+       [
+         ("bench", J.String "scaling");
+         ("full", J.Bool cfg.B_util.full);
+         ("reps", J.Int reps);
+         ("rows", J.List (List.rev !rows));
+       ]);
   output_char oc '\n';
   close_out oc;
   B_util.note "Per-size timings written to %s." json_path;

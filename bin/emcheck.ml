@@ -620,7 +620,10 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
   let lint_diags = List.map diag_of_finding findings in
   if (not keep_going) && Spice.Checker.errors findings <> [] then
     failwith "netlist fails lint; aborting (use --keep-going to continue)";
-  let sol = Spice.Mna.solve netlist in
+  (* The fused engine's stage table starts with the DC solve; the boxed
+     reference engine records its own stages in [run_on_structures]. *)
+  let p = Emflow.Pipeline.create () in
+  let sol = Emflow.Pipeline.run p "solve" (fun () -> Spice.Mna.solve netlist) in
   Format.printf "DC solve: %d CG iterations, residual %.2e%s@."
     sol.Spice.Mna.cg_iterations sol.Spice.Mna.residual
     (if sol.Spice.Mna.converged then "" else " (NOT CONVERGED)");
@@ -659,7 +662,6 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
       in
       (`Boxed structures, r)
     | `Fused ->
-      let p = Emflow.Pipeline.create () in
       let compacts =
         Emflow.Pipeline.run p "extract" (fun () ->
             Emflow.Extract.extract_compact ~tech sol)
@@ -1100,6 +1102,9 @@ let explain_netlist path index tech sigma_t temperature audit_tol jobs =
   let material = material_of ~sigma_t ~temperature in
   let netlist = Spice.Parser.parse_file path in
   let sol = Spice.Mna.solve netlist in
+  (match dc_diags sol with
+  | d :: _ -> failwith (Format.asprintf "%a" Dg.pp d)
+  | [] -> ());
   let compacts = Emflow.Extract.extract_compact ~tech sol in
   let n = List.length compacts in
   if index < 0 || index >= n then
@@ -1251,8 +1256,9 @@ let explain_cmd =
            `S Manpage.s_exit_status;
            `P
              "$(b,0) on success; $(b,2) with a one-line diagnostic when the \
-              deck is missing, unreadable or malformed, or the structure \
-              index is out of range.";
+              deck is missing, unreadable or malformed, its DC solve does \
+              not converge ($(b,dc-not-converged)), or the structure index \
+              is out of range.";
          ])
     term
 
@@ -1577,6 +1583,21 @@ let stats_netlist path tech sigma_t temperature jobs top trace_path
   let netlist = Spice.Parser.parse_file path in
   let p = Emflow.Pipeline.create () in
   let sol = Emflow.Pipeline.run p "solve" (fun () -> Spice.Mna.solve netlist) in
+  let finish profile =
+    export_telemetry ~trace_path ~metrics_path (Some trace);
+    export_profile ~profile_path ~profile_format (Some trace) profile;
+    (* stats forced the collectors on; don't leak that past the command. *)
+    Obs.Trace.disable ();
+    Obs.Metrics.set_enabled false
+  in
+  match dc_diags sol with
+  | _ :: _ as diags ->
+    (* As in analyze: no table derived from these voltages is shown. *)
+    let profile = Option.map Obs.Profile.stop sampler in
+    print_diags diags;
+    finish profile;
+    `Ok 1
+  | [] ->
   let compacts =
     Emflow.Pipeline.run p "extract" (fun () ->
         Emflow.Extract.extract_compact ~tech sol)
@@ -1645,11 +1666,7 @@ let stats_netlist path tech sigma_t temperature jobs top trace_path
         Rp.add_row metric_table [ s.Obs.Metrics.s_name; labels; value ])
       samples;
     Rp.print metric_table);
-  export_telemetry ~trace_path ~metrics_path (Some trace);
-  export_profile ~profile_path ~profile_format (Some trace) profile;
-  (* stats forced the collectors on; don't leak that past the command. *)
-  Obs.Trace.disable ();
-  Obs.Metrics.set_enabled false;
+  finish profile;
   `Ok 0
 
 let stats_cmd =

@@ -5,20 +5,14 @@
    The exact checks re-evaluate the solver's own floating-point
    expressions — the Schedule replay for the Blech sums, the fixed-order
    segment sweep for A/Q, and [beta *. (q_over_a -. b_i)] for the
-   stresses — against the returned solution. Every production path
-   (boxed, columnar, BFS-reordered, intra-structure parallel) is
-   bit-identical by contract, so any nonzero exact residual is a broken
-   solver path, not rounding. *)
+   stresses — against the returned solution. Both production paths
+   (boxed and columnar) are bit-identical by contract, so any nonzero
+   exact residual is a broken solver path, not rounding. *)
 
 module Ss = Steady_state
 module Cc = Compact
 
-type provenance = {
-  engine : string;
-  solver : string;
-  jobs : int;
-  ws_shared : bool;
-}
+type provenance = { engine : string }
 
 type contribution = {
   ct_seg : int;
@@ -93,9 +87,7 @@ let blech_replay_residual (sched : Ss.Schedule.t) (c : Cc.t) b =
 
 (* Recompute A and Q with the solver's exact sweep (segment order,
    expression shape) from the solution's Blech sums. Bit-equal inputs
-   and operations give bit-equal sums on every solver path: the
-   reordered solve preserves segment order and gathers bit-equal [b]
-   values back to original ids. *)
+   and operations give bit-equal sums on every solver path. *)
 let norm_residual (c : Cc.t) (sol : Ss.solution) =
   let m = Cc.num_segments c in
   let whs = c.Cc.wh and lengths = c.Cc.length and js = c.Cc.j in
@@ -463,7 +455,7 @@ let pp ppf t =
      (%.2f%%)@,\
      residuals: blech-replay %.3e, normalization %.3e, telescope %.3e \
      (exact); flux %.3e, mass %.3e (tol); kcl %.3e (info)@,\
-     solver: %s/%s, jobs %d%s@]"
+     engine: %s@]"
     t.au_index t.au_layer t.au_nodes t.au_segments
     (if t.au_immortal then "immortal" else "MORTAL")
     (t.au_max_stress *. 1e-6)
@@ -472,6 +464,4 @@ let pp ppf t =
     (t.au_margin *. 1e-6)
     (100. *. t.au_rel_margin)
     r.blech_replay r.norm_recompute r.stress_telescope r.flux_rel r.mass_rel
-    r.kcl_interior_rel t.au_provenance.engine t.au_provenance.solver
-    t.au_provenance.jobs
-    (if t.au_provenance.ws_shared then " (shared workspace)" else "")
+    r.kcl_interior_rel t.au_provenance.engine

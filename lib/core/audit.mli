@@ -4,11 +4,10 @@
     are a deterministic replay of the BFS {!Steady_state.Schedule}, the
     normalization constants [A]/[Q] are one fixed-order sweep over the
     segment columns, and every node stress is
-    [beta * (Q/A - B_i)]. Because every production solver path (boxed,
-    columnar, cache-reordered, intra-structure parallel) is bit-identical
-    by contract, an audit that re-evaluates those same floating-point
-    expressions against the returned solution must reproduce it {e to
-    the bit} — the exact residuals below are [0.0], not merely small,
+    [beta * (Q/A - B_i)]. Because both production solver paths (boxed
+    and columnar) are bit-identical by contract, an audit that
+    re-evaluates those same floating-point expressions against the
+    returned solution must reproduce it {e to the bit} — the exact residuals below are [0.0], not merely small,
     on a healthy run, and any nonzero value means a solver path broke
     the contract (or memory was corrupted in flight).
 
@@ -26,18 +25,13 @@
     segment attribution of the critical Blech path — the tree path from
     the reference to the most stressed node, each step contributing
     [-beta * sign * j * l] to the peak stress — so every verdict can be
-    explained and ranked, and solver-path provenance naming which
-    engine/route produced the solution. *)
+    explained and ranked, and provenance naming which extraction
+    engine produced the structure. *)
 
-(** How the audited solution was produced. *)
-type provenance = {
-  engine : string;  (** extraction engine: ["fused"] / ["boxed"] *)
-  solver : string;
-      (** solve route: ["compact"], ["reordered"] or ["reordered+par"] *)
-  jobs : int;       (** intra-structure domains (1 = sequential) *)
-  ws_shared : bool;
-      (** the solution aliases a reused {!Steady_state.Workspace} *)
-}
+(** How the audited structure was produced. Every structure is solved by
+    {!Steady_state.solve_compact} through a worker's reused workspace,
+    so the extraction engine is the only thing that varies. *)
+type provenance = { engine : string  (** ["fused"] / ["boxed"] *) }
 
 (** One step of the critical Blech path, in root-to-peak order. *)
 type contribution = {

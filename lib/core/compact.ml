@@ -280,7 +280,7 @@ let total_length c =
   !acc
 
 (* ------------------------------------------------------------------ *)
-(* Cache-aware node reordering                                         *)
+(* Node relabeling                                                     *)
 
 type reordered = {
   compact : t;
@@ -288,11 +288,26 @@ type reordered = {
   new_of_old : int array;
 }
 
+(* [new_of_old] for [order] ([order.(new_id) = old_id]), or [None] when
+   [order] is not a permutation of [0, length). *)
+let inverse order =
+  let n = Array.length order in
+  let inv = Array.make n (-1) in
+  let ok = ref true in
+  Array.iteri
+    (fun new_id old_id ->
+      if old_id < 0 || old_id >= n || inv.(old_id) >= 0 then ok := false
+      else inv.(old_id) <- new_id)
+    order;
+  if !ok then Some inv else None
+
 let permute c ~order =
   let n = c.num_nodes in
-  if Array.length order <> n || not (Reorder.is_permutation order) then
-    invalid_arg "Compact.permute: order is not a permutation of the nodes";
-  let new_of_old = Reorder.inverse order in
+  let new_of_old =
+    match inverse order with
+    | Some inv when Array.length order = n -> inv
+    | _ -> invalid_arg "Compact.permute: order is not a permutation of the nodes"
+  in
   let m = num_segments c in
   let tail = Array.make m 0 and head = Array.make m 0 in
   for k = 0 to m - 1 do
@@ -318,19 +333,6 @@ let permute c ~order =
     }
   in
   { compact; old_of_new = order; new_of_old }
-
-let reorder ?(strategy = `Bfs) ?root c =
-  let root = match root with Some r -> r | None -> default_reference c in
-  let order =
-    match strategy with
-    | `Bfs ->
-      Reorder.bfs_order ~num_nodes:c.num_nodes ~offsets:c.offsets
-        ~neighbors:c.adj_nbr ~root
-    | `Rcm ->
-      Reorder.rcm_order ~num_nodes:c.num_nodes ~offsets:c.offsets
-        ~neighbors:c.adj_nbr ~root
-  in
-  permute c ~order
 
 let is_connected c =
   let n = c.num_nodes in

@@ -116,15 +116,13 @@ val total_length : t -> float
 
 val is_connected : t -> bool
 
-(** {1 Cache-aware node reordering}
+(** {1 Node relabeling}
 
-    Relabeling the nodes so memory order matches traversal order keeps
-    the solver's frontier expansions streaming through the [b]/[stress]
-    columns instead of striding across them — the fix for the
-    throughput cliff between 3k and 30k edges. The permutation is a
-    pure relabeling: segment ids and segment order never change, and
-    the id maps translate node-indexed results back to original ids for
-    diagnostics and reports. *)
+    A pure relabeling of the nodes: segment ids and segment order never
+    change, and the id maps translate node-indexed results back to
+    original ids. The fingerprint tests use it to pin that
+    {!Fingerprint.of_compact} does not depend on node numbering; the
+    solver never relabels (DESIGN §8). *)
 
 type reordered = {
   compact : t;           (** the relabeled structure *)
@@ -139,15 +137,3 @@ val permute : t -> order:int array -> reordered
     edge-order counting sort as {!make} (so per-node slot order stays
     ascending by segment id). Raises [Invalid_argument] when [order] is
     not a permutation of the node ids. *)
-
-val reorder : ?strategy:[ `Bfs | `Rcm ] -> ?root:int -> t -> reordered
-(** {!permute} by {!Reorder.bfs_order} (default) or
-    {!Reorder.rcm_order} from [root] (default {!default_reference}).
-    With [`Bfs] on a connected structure,
-    [Steady_state.solve_compact (reorder c).compact] performs the exact
-    floating-point operation sequence of the unpermuted solve started
-    at [root] — bit-identical stresses after mapping node ids through
-    [old_of_new] — because the BFS from new node 0 replays the original
-    discovery order slot for slot. [`Rcm] minimizes bandwidth instead;
-    it is bit-identical on trees (the discovery tree is forced) but may
-    round differently on meshes. *)

@@ -26,8 +26,8 @@
 
     It is therefore invariant under:
     {ul
-    {- node relabeling ({!Compact.permute} / {!Compact.reorder} with any
-       strategy) — labels are structural, every multiset is sorted;}
+    {- node relabeling ({!Compact.permute} by any order) — labels are
+       structural, every multiset is sorted;}
     {- segment (extraction) order — the final digest hashes a sorted
        multiset of segment tokens;}
     {- reference-direction flips (swapping [tail]/[head] and negating
@@ -35,8 +35,8 @@
        {e outflow} from that node, and each segment token is the
        lexicographic minimum over both orientations;}
     {- anything that does not change the structure's content: the
-       extraction engine (fused/boxed), worker count, solver route,
-       telemetry flags.}
+       extraction engine (fused/boxed), worker count, telemetry
+       flags.}
 
     Any change to a single quantized field — one segment's length,
     width, height or current — changes the fingerprint (up to MD5

@@ -35,9 +35,8 @@ let generic_metrics doc =
   | _ -> []
 
 (* Per-size series from the scaling bench: each row keyed by its edge
-   count, so the history compares like against like. Top-level summary
-   measurements (e.g. the columnar throughput cliff ratio) ride along
-   through the generic extractor. *)
+   count, so the history compares like against like. Any top-level
+   measurement rides along through the generic extractor. *)
 let scaling_metrics doc =
   let per_row =
     match Json_in.member "rows" doc with
@@ -56,9 +55,7 @@ let scaling_metrics doc =
                   | None -> None)
                 [
                   "boxed_s"; "convert_s"; "columnar_s";
-                  "columnar_segments_per_s"; "reordered_solve_s";
-                  "reordered_segments_per_s"; "par_solve_s";
-                  "par_segments_per_s"; "speedup";
+                  "columnar_segments_per_s"; "speedup";
                 ]
             | None -> []
           end

@@ -85,19 +85,6 @@ val failed_structures : result -> int
     in {!result.diags}, excluding ["audit-residual"] errors (a strict
     audit flags the numbers, but the structure's analysis completed). *)
 
-type tuning = {
-  huge_segments : int;
-      (** with [jobs > 1], a structure at least this many segments is
-          analyzed with {e intra}-structure parallelism (all domains
-          inside one solve) instead of riding the per-structure fan-out *)
-  reorder_nodes : int;
-      (** sequential runs route structures at least this many nodes
-          through the cache-aware BFS-reordered solve *)
-}
-
-val default_tuning : tuning
-(** [{ huge_segments = 100_000; reorder_nodes = 16_384 }]. *)
-
 (** Numerical-audit configuration. Passing [?audit] turns on
     per-structure {!Em_core.Audit} checks: each successfully analyzed
     structure gets an audit record in {!result.audits}, aggregated into
@@ -139,7 +126,6 @@ val run :
   ?material:Em_core.Material.t ->
   ?with_maxpath:bool ->
   ?jobs:int ->
-  ?tuning:tuning ->
   ?audit:audit_config ->
   Pdn.Grid_gen.generated ->
   result
@@ -149,19 +135,15 @@ val run :
     (the DC solve stays sequential). With [jobs > 1] the reported
     [analysis_time] is wall-clock rather than CPU time.
 
-    Work decomposition under [jobs > 1]: structures with at least
-    [tuning.huge_segments] segments are analyzed one at a time with the
-    domains cooperating {e inside} the solve
-    ({!Em_core.Steady_state.solve_compact_reordered} with per-subtree
-    Blech expansion and a chunked stress fill), everything else fans out
-    across domains as before; both routes keep per-structure fault
-    isolation and produce results bit-identical to a sequential run. *)
+    Every structure is one work item: one
+    {!Em_core.Steady_state.solve_compact} through its worker's
+    workspace. Structures never share a solve, so results are
+    bit-identical at every [jobs]. *)
 
 val run_on_compact :
   ?material:Em_core.Material.t ->
   ?with_maxpath:bool ->
   ?jobs:int ->
-  ?tuning:tuning ->
   ?audit:audit_config ->
   ?pipeline:Pipeline.t ->
   Extract.compact_structure list ->
@@ -174,7 +156,6 @@ val run_on_structures :
   ?material:Em_core.Material.t ->
   ?with_maxpath:bool ->
   ?jobs:int ->
-  ?tuning:tuning ->
   ?audit:audit_config ->
   Extract.em_structure list ->
   result

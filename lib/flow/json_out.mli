@@ -63,7 +63,7 @@ val of_telemetry : ?top:int -> ?profile:Obs.Profile.profile -> unit -> t
 val of_audit : tol:float -> Em_core.Audit.t -> t
 (** One structure's audit record: margin/threshold, residuals, the
     violation list gated at [tol], top-k critical-path contributions,
-    and solver-path provenance. *)
+    and the extraction-engine provenance. *)
 
 val of_audit_report : tol:float -> Em_core.Audit.t option array -> t
 (** The ["audit"] object of an audited analyze report: run-level

@@ -4,7 +4,7 @@
     Every live endpoint and metric sees exactly one process; the ledger
     is the cross-run half of the observability story. `emcheck analyze
     --record-run [DIR]` appends one {!run} record — deck hash, config /
-    solver-path provenance, and one {!entry} per analyzed structure
+    engine provenance, and one {!entry} per analyzed structure
     (fingerprint, verdict, signed immortality margin, solve time,
     diagnostic codes, audit worst-residual) — to [DIR/ledger.jsonl].
     `emcheck diff` and `emcheck history` read the archive back and

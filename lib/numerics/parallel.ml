@@ -109,35 +109,8 @@ let map_result ?jobs f xs =
   let jobs = clamp_jobs ~who:"Parallel.map_result" ~n:(Array.length xs) jobs in
   run_slots ~jobs ~local:(fun () -> ()) (fun () x -> f x) xs
 
-let map_local ?jobs ~local f xs =
-  let jobs = clamp_jobs ~who:"Parallel.map_local" ~n:(Array.length xs) jobs in
-  unwrap_slots (run_slots ~jobs ~local f xs)
-
 let map ?jobs f xs =
   let jobs = clamp_jobs ~who:"Parallel.map" ~n:(Array.length xs) jobs in
   unwrap_slots (run_slots ~jobs ~local:(fun () -> ()) (fun () x -> f x) xs)
 
 let map_list ?jobs f xs = Array.to_list (map ?jobs f (Array.of_list xs))
-
-(* Static contiguous index ranges, one per worker. The caller's [f] must
-   only write state disjoint per range (e.g. distinct array slices);
-   with that contract the decomposition is free of synchronization
-   beyond the final join, and — because the ranges partition [0, n) the
-   same way for any [jobs] — any per-element computation that does not
-   depend on its neighbors produces the same values at every job
-   count. *)
-let iter_ranges ?jobs ~n f =
-  if n < 0 then invalid_arg "Parallel.iter_ranges: negative range";
-  if n > 0 then begin
-    let jobs = clamp_jobs ~who:"Parallel.iter_ranges" ~n jobs in
-    if jobs <= 1 then f ~lo:0 ~hi:n
-    else begin
-      let ranges =
-        Array.init jobs (fun w ->
-            let lo, len = chunk ~n ~jobs w in
-            (lo, lo + len))
-      in
-      ignore
-        (map ~jobs (fun (lo, hi) -> f ~lo ~hi) ranges : unit array)
-    end
-  end

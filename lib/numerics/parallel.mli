@@ -10,9 +10,9 @@
     [*_result] variants capture each item's outcome — value, or
     exception with its original backtrace — so one poisoned item cannot
     abort or mask the others ({!failures} counts the failed slots).
-    {!map} / {!map_local} compute all slots too, then re-raise the
-    lowest-indexed failure with {!Printexc.raise_with_backtrace}
-    (deterministic, backtrace preserved). *)
+    {!map} computes all slots too, then re-raises the lowest-indexed
+    failure with {!Printexc.raise_with_backtrace} (deterministic,
+    backtrace preserved). *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count], clamped to at least 1. *)
@@ -23,13 +23,6 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     re-raised in the caller with its original backtrace after all
     domains have joined; use {!map_result} to observe every failure
     and how many slots failed. *)
-
-val map_local : ?jobs:int -> local:(unit -> 's) -> ('s -> 'a -> 'b) -> 'a array -> 'b array
-(** Like {!map}, but each worker domain first creates its own local state
-    with [local ()] and threads it through every call it makes — the way
-    to give each domain a private scratch workspace (e.g. a
-    [Steady_state.Workspace.t]) without any sharing or locking. With
-    [jobs <= 1] a single state is created in the calling domain. *)
 
 val map_result :
   ?jobs:int ->
@@ -47,19 +40,13 @@ val map_local_result :
   ('s -> 'a -> 'b) ->
   'a array ->
   ('b, exn * Printexc.raw_backtrace) result array
-(** {!map_result} with per-domain local state, as in {!map_local}. *)
+(** {!map_result}, but each worker domain first creates its own local
+    state with [local ()] and threads it through every call it makes —
+    the way to give each domain a private scratch workspace (e.g. a
+    [Steady_state.Workspace.t]) without any sharing or locking. With
+    [jobs <= 1] a single state is created in the calling domain. *)
 
 val failures : ('b, exn * Printexc.raw_backtrace) result array -> int
 (** Number of [Error] slots in a [*_result] array. *)
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-
-val iter_ranges : ?jobs:int -> n:int -> (lo:int -> hi:int -> unit) -> unit
-(** Run [f ~lo ~hi] over a static partition of [0, n) into (at most)
-    [jobs] contiguous half-open ranges, one per worker domain —
-    intra-structure work decomposition for per-element passes (e.g. the
-    stress fill of a single huge solve). [f] must confine its writes to
-    state disjoint per range; element-wise computations that do not read
-    their neighbors then produce identical results at every job count.
-    [jobs = 1] (or [n <= 1]) runs inline on the calling domain.
-    Exceptions re-raise in the caller, lowest range first. *)

@@ -119,6 +119,76 @@ let test_analyze_dc_not_converged () =
       Alcotest.(check (list string)) "one dc-not-converged error"
         [ "dc-not-converged" ] codes)
 
+(* The sample deck with a loaded three-line floating island spliced in
+   before [.end]: a real grid whose DC solve cannot converge. *)
+let mini_grid_with_island () =
+  let cards =
+    List.filter
+      (fun l -> not (String.equal (String.trim l) ".end"))
+      (String.split_on_char '\n' (read_file deck))
+  in
+  String.concat "\n"
+    (cards
+    @ [
+        "Risland1 n1_300000_0 n1_301000_0 0.5";
+        "Risland2 n1_301000_0 n1_302000_0 0.5";
+        "Iisland n1_302000_0 0 0.001";
+        ".end";
+        "";
+      ])
+
+(* Run [f] on each non-converging deck, written to a temporary file. *)
+let with_non_converging_decks f =
+  List.iter
+    (fun (name, text) ->
+      let path = tmp_name name ^ ".sp" in
+      Out_channel.with_open_text path (fun oc -> output_string oc text);
+      Fun.protect ~finally:(fun () -> rm_f path) (fun () -> f name path))
+    [ ("mini-island", mini_grid_with_island ()); ("island", island_deck) ]
+
+let test_explain_dc_not_converged () =
+  with_non_converging_decks (fun name path ->
+      let r = run_cmd (Printf.sprintf "%s explain %s 0 -t ibm" emcheck path) in
+      check_one_line_diagnostic ~prefix:"emcheck explain:" r;
+      if not (T_obs.contains r.err "dc-not-converged") then
+        Alcotest.failf "%s: diagnostic %S does not name dc-not-converged" name
+          r.err)
+
+let test_stats_dc_not_converged () =
+  with_non_converging_decks (fun name path ->
+      let r = run_cmd (Printf.sprintf "%s stats %s -t ibm" emcheck path) in
+      Alcotest.(check int) (name ^ ": exit code 1") 1 r.code;
+      if not (T_obs.contains r.out "error[dc-not-converged]") then
+        Alcotest.failf "%s: stats did not print the diagnostic:\n%s" name r.out)
+
+(* The fused analyze path times the DC solve in its own pipeline stage,
+   so the report's stage table accounts for it. *)
+let test_analyze_solve_stage () =
+  let json = tmp_name "stages.json" in
+  Fun.protect
+    ~finally:(fun () -> rm_f json)
+    (fun () ->
+      let r =
+        run_cmd
+          (Printf.sprintf "%s analyze %s -t ibm --json %s" emcheck deck json)
+      in
+      Alcotest.(check int) "exit code 0" 0 r.code;
+      let stages =
+        match Ji.list_value (get "stages" (get "flow" (json_of_file json))) with
+        | Some l -> l
+        | None -> Alcotest.fail "flow.stages is not a list"
+      in
+      let names =
+        List.filter_map (fun st -> Ji.string_value (get "name" st)) stages
+      in
+      Alcotest.(check (list string)) "stage order"
+        [ "solve"; "extract"; "analyze"; "classify" ] names;
+      let solve =
+        List.find (fun st -> Ji.string_value (get "name" st) = Some "solve") stages
+      in
+      Alcotest.(check bool) "solve stage has non-zero wall time" true
+        (get_num "wall_s" solve > 0.))
+
 (* ---------------------------------------------------------------- *)
 (* record-run -> diff -> history                                     *)
 
@@ -222,9 +292,16 @@ let suites =
         case "out-of-range index: one line, exit 2" test_explain_out_of_range;
         case "missing deck: one line, exit 2" test_explain_missing_deck;
         case "malformed deck: one line, exit 2" test_explain_malformed_deck;
+        case "non-converged DC solve: one line, exit 2"
+          test_explain_dc_not_converged;
       ] );
     ( "cli.analyze",
-      [ case "non-converged DC solve: error, exit 1" test_analyze_dc_not_converged ] );
+      [
+        case "non-converged DC solve: error, exit 1" test_analyze_dc_not_converged;
+        case "DC solve timed in the solve stage" test_analyze_solve_stage;
+      ] );
+    ( "cli.stats",
+      [ case "non-converged DC solve: error, exit 1" test_stats_dc_not_converged ] );
     ( "cli.ledger",
       [ slow_case "record-run, diff, history round trip" test_record_diff_history ] );
     ( "cli.bench",

@@ -39,13 +39,35 @@ let random_permutation rng n =
   done;
   a
 
+(* BFS discovery order from node 0 over the CSR (the structures here
+   are connected trees, so every node is reached). *)
+let bfs_order (c : Cc.t) =
+  let n = c.Cc.num_nodes in
+  let order = Array.make n 0 and seen = Array.make n false in
+  seen.(0) <- true;
+  let tail = ref 1 in
+  for head = 0 to n - 1 do
+    let v = order.(head) in
+    for slot = c.Cc.offsets.(v) to c.Cc.offsets.(v + 1) - 1 do
+      let u = c.Cc.adj_nbr.(slot) in
+      if not seen.(u) then begin
+        seen.(u) <- true;
+        order.(!tail) <- u;
+        incr tail
+      end
+    done
+  done;
+  order
+
 let prop_reorder_invariant =
-  qcheck "fingerprint invariant under Compact.reorder (BFS and RCM)" gen
+  qcheck "fingerprint invariant under BFS and reversed relabeling" gen
     (fun (n, seed) ->
       let c = random_compact ~num_nodes:n ~seed in
       let fp = Fp.of_compact c in
-      String.equal fp (Fp.of_compact (Cc.reorder ~strategy:`Bfs c).Cc.compact)
-      && String.equal fp (Fp.of_compact (Cc.reorder ~strategy:`Rcm c).Cc.compact))
+      let relabeled order = Fp.of_compact (Cc.permute c ~order).Cc.compact in
+      let bfs = bfs_order c in
+      let reversed = Array.init n (fun i -> bfs.(n - 1 - i)) in
+      String.equal fp (relabeled bfs) && String.equal fp (relabeled reversed))
 
 let prop_permute_invariant =
   qcheck "fingerprint invariant under arbitrary node relabeling" gen

@@ -1145,9 +1145,9 @@ let fault_fixture =
      let healthy = Ex.extract_compact ~tech:g.Gg.tech sol in
      (healthy, Flow.run_on_compact healthy))
 
-let check_poisoned_batch ?jobs ?tuning ~pos healthy (clean : Flow.result) =
+let check_poisoned_batch ?jobs ~pos healthy (clean : Flow.result) =
   let dirty =
-    Flow.run_on_compact ?jobs ?tuning (insert_at pos (poison_compact ()) healthy)
+    Flow.run_on_compact ?jobs (insert_at pos (poison_compact ()) healthy)
   in
   (match dirty.Flow.diags with
   | [ d ] ->
@@ -1191,42 +1191,13 @@ let test_flow_fault_isolation_qcheck =
       check_poisoned_batch ~jobs ~pos healthy clean;
       true)
 
-(* Force every structure down the new dispatch routes and require the
-   segment records to stay bit-identical to the plain sequential run:
-   cache-aware reordered solves on sequential runs, and the
-   intra-structure parallel decomposition ("huge" route) under jobs. *)
-let test_flow_tuning_paths_bit_identical () =
-  let healthy, clean = Lazy.force fault_fixture in
-  let reordered =
-    Flow.run_on_compact
-      ~tuning:{ Flow.huge_segments = max_int; reorder_nodes = 1 }
-      healthy
-  in
-  Alcotest.(check int) "reordered run clean" 0
-    (Flow.failed_structures reordered);
-  check_segments_bit_identical clean.Flow.segments reordered.Flow.segments;
-  let intra =
-    Flow.run_on_compact ~jobs:2
-      ~tuning:{ Flow.huge_segments = 1; reorder_nodes = 1 }
-      healthy
-  in
-  Alcotest.(check int) "intra-parallel run clean" 0
-    (Flow.failed_structures intra);
-  check_segments_bit_identical clean.Flow.segments intra.Flow.segments
-
-let test_flow_fault_isolation_new_paths () =
+(* The domain pool at exactly two workers — the multi-domain route even
+   on a one-core runner, where the default job count is 1. *)
+let test_flow_fault_isolation_pool () =
   let healthy, clean = Lazy.force fault_fixture in
   let n = List.length healthy in
   List.iter
-    (fun pos ->
-      (* Everything through the intra-parallel "huge" route. *)
-      check_poisoned_batch ~jobs:2
-        ~tuning:{ Flow.huge_segments = 1; reorder_nodes = 1 }
-        ~pos healthy clean;
-      (* Everything through the sequential reordered route. *)
-      check_poisoned_batch
-        ~tuning:{ Flow.huge_segments = max_int; reorder_nodes = 1 }
-        ~pos healthy clean)
+    (fun pos -> check_poisoned_batch ~jobs:2 ~pos healthy clean)
     [ 0; n ]
 
 let test_flow_diags_serialized () =
@@ -1283,25 +1254,20 @@ let test_flow_audit_end_to_end () =
         | (name, v) :: _ ->
           Alcotest.failf "structure %d: residual violation %s = %g" i name v);
         Alcotest.(check string) "provenance engine" "fused"
-          a.Au.au_provenance.Au.engine;
-        Alcotest.(check int) "provenance jobs" 1 a.Au.au_provenance.Au.jobs)
+          a.Au.au_provenance.Au.engine)
     audited.Flow.audits;
-  (* Audited parallel and reordered routes still agree and are audited. *)
+  (* An audited run on two domains still agrees and is audited. *)
   let par =
-    Flow.run_on_compact ~jobs:2 ~audit:Flow.default_audit_config
-      ~tuning:{ Flow.huge_segments = 1; reorder_nodes = 1 }
-      healthy
+    Flow.run_on_compact ~jobs:2 ~audit:Flow.default_audit_config healthy
   in
   check_segments_bit_identical clean.Flow.segments par.Flow.segments;
   Array.iter
     (function
       | Some (a : Au.t) ->
-        Alcotest.(check string) "huge-route solver" "reordered+par"
-          a.Au.au_provenance.Au.solver;
         if Au.exact_residual a <> 0. then
-          Alcotest.failf "parallel route: exact residual %g <> 0"
+          Alcotest.failf "two-domain run: exact residual %g <> 0"
             (Au.exact_residual a)
-      | None -> Alcotest.fail "parallel route skipped an audit")
+      | None -> Alcotest.fail "two-domain run skipped an audit")
     par.Flow.audits
 
 let test_flow_audit_fault_isolated () =
@@ -1343,7 +1309,7 @@ let test_flow_audit_json () =
   Alcotest.(check bool) "attribution present" true
     (contains json {|"top_contributions":|});
   Alcotest.(check bool) "provenance present" true
-    (contains json {|"solver":"|})
+    (contains json {|"provenance":{"engine":"fused"}|})
 
 let test_solve_buckets_validation () =
   (* Any flow run above froze the em_structure_solve_seconds ladder for
@@ -1397,10 +1363,8 @@ let suites =
     ( "flow.fault_isolation",
       [
         case "poisoned batch isolates the offender" test_flow_fault_isolation;
-        case "tuning routes stay bit-identical"
-          test_flow_tuning_paths_bit_identical;
-        case "fault isolation through tuning routes"
-          test_flow_fault_isolation_new_paths;
+        case "fault isolation through the two-domain pool"
+          test_flow_fault_isolation_pool;
         case "diagnostics serialized" test_flow_diags_serialized;
         test_flow_fault_isolation_qcheck;
       ] );

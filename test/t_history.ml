@@ -99,10 +99,6 @@ let scaling_doc ?(columnar1000 = 2.0e-5) () =
                 ("convert_s", J.Float 2.2e-5);
                 ("columnar_s", J.Float columnar1000);
                 ("columnar_segments_per_s", J.Float 3.8e7);
-                ("reordered_solve_s", J.Float 1.8e-5);
-                ("reordered_segments_per_s", J.Float 5.5e7);
-                ("par_solve_s", J.Float 1.9e-5);
-                ("par_segments_per_s", J.Float 5.2e7);
                 ("speedup", J.Float 9.0);
               ];
             J.Obj
@@ -125,17 +121,16 @@ let test_metrics_of_obs () =
 
 let test_metrics_of_scaling () =
   let ms = H.metrics_of_result (scaling_doc ()) in
-  (* 9 keys in the full first row + 4 in the second + the top-level
+  (* 5 keys in the full first row + 4 in the second + the top-level
      cliff ratio. Rows missing the newer keys (older results) still
      extract what they have. *)
-  Alcotest.(check int) "per-size metrics plus cliff" 14 (List.length ms);
+  Alcotest.(check int) "per-size metrics plus cliff" 10 (List.length ms);
   check_close "per-size key" 2.0e-5 (List.assoc "columnar_s@1000" ms);
   check_close "second row keyed separately" 7.4e-5
     (List.assoc "columnar_s@3000" ms);
   check_close "convert extracted" 2.2e-5 (List.assoc "convert_s@1000" ms);
-  check_close "reordered throughput extracted" 5.5e7
-    (List.assoc "reordered_segments_per_s@1000" ms);
-  check_close "par solve extracted" 1.9e-5 (List.assoc "par_solve_s@1000" ms);
+  check_close "throughput extracted" 3.8e7
+    (List.assoc "columnar_segments_per_s@1000" ms);
   check_close "top-level cliff ratio extracted" 2.1
     (List.assoc "columnar_throughput_cliff_ratio" ms);
   Alcotest.(check bool) "absent keys stay absent" true
@@ -147,7 +142,7 @@ let test_cliff_ratio_direction () =
   Alcotest.(check bool) "ratio is lower-better" true
     (H.direction_of_metric "columnar_throughput_cliff_ratio" = H.Lower_better);
   Alcotest.(check bool) "throughput is higher-better" true
-    (H.direction_of_metric "reordered_segments_per_s@30000" = H.Higher_better)
+    (H.direction_of_metric "columnar_segments_per_s@30000" = H.Higher_better)
 
 let test_metrics_generic () =
   let doc =
